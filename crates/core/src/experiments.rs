@@ -133,8 +133,9 @@ pub const DEFAULT_SEED: u64 = 0x15CA_1998;
 pub enum SweepEngine {
     /// One traversal per application answers every configuration: the
     /// cache study classifies each reference by stack distance
-    /// ([`cap_cache::multisweep`]), the queue study replays one recorded
-    /// instruction tape through every window ([`cap_ooo::multisweep`]).
+    /// ([`cap_cache::multisweep`]), the queue study pushes one generated
+    /// stream through every window's forward recurrence
+    /// ([`cap_ooo::multisweep`]).
     #[default]
     SinglePass,
     /// One full simulation per (application, configuration) pair — the
@@ -1064,9 +1065,9 @@ impl QueueExperiment {
     }
 
     /// The whole curve from one generated stream: the single-pass engine
-    /// records the instruction tape once and replays a cursor per window
-    /// size ([`cap_ooo::multisweep`]), bit-identical to a serial fold
-    /// over [`QueueExperiment::leg`].
+    /// schedules every window size in one pass over it
+    /// ([`cap_ooo::multisweep`]), bit-identical to a serial fold over
+    /// [`QueueExperiment::leg`].
     fn curve_points_single_pass(&self, app: App) -> Result<Vec<QueuePoint>, CapError> {
         let stream = app.ilp_profile().build(self.seed ^ app.seed_salt());
         let points = cap_ooo::multisweep::multisweep(

@@ -237,13 +237,15 @@ impl CombinedExperiment {
         )?;
 
         // Queue-side IPC per window (clock-independent).
-        let ilp = app.ilp_profile();
-        let mut ipcs = Vec::new();
-        for w in WindowSize::paper_sweep() {
-            let mut core = OooCore::try_new(CoreConfig::isca98(w.entries())?)?;
-            let mut stream = ilp.build(self.seed ^ app.seed_salt());
-            ipcs.push((w.entries(), core.run(&mut stream, self.scale.queue_insts()).ipc()));
-        }
+        let ipcs: Vec<(usize, f64)> = cap_ooo::multisweep::multisweep(
+            app.ilp_profile().build(self.seed ^ app.seed_salt()),
+            self.scale.queue_insts(),
+            WindowSize::paper_sweep(),
+            &self.queue_timing,
+        )?
+        .into_iter()
+        .map(|p| (p.window.entries(), p.stats.ipc()))
+        .collect();
 
         let mut points = Vec::new();
         for cp in &cache_points {

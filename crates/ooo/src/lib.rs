@@ -15,10 +15,13 @@
 //!   reconfigure to a smaller queue size, entries in the portion of the
 //!   queue to be disabled must first issue");
 //! * interval TPI recording for the Section 6 snapshots (Figures 12–13);
-//! * a **single-pass window sweep** ([`multisweep`]) that replays one
-//!   recorded instruction tape through every window size, and the
-//!   preserved full-scan engine ([`reference`]) that pins the fast core's
-//!   schedule differentially.
+//! * a **forward-recurrence scheduler** ([`sched`]) that computes a fixed
+//!   window's schedule in closed form, one instruction at a time, and
+//!   the **single-pass window sweep** ([`multisweep`]) built on it: one
+//!   generated stream pushed through every window size's recurrence at
+//!   once. Its oracle chain is recurrence → [`OooCore`] (event-driven
+//!   wakeup) → [`reference::ScanCore`] (the preserved full-window scan),
+//!   each pinned to the next by tests and `cap-verify`.
 //!
 //! The cycle time of each window size comes from
 //! [`cap_timing::QueueTimingModel`]; combining it with measured IPC gives
@@ -49,6 +52,7 @@ pub mod interval;
 pub mod multisweep;
 pub mod perf;
 pub mod reference;
+pub mod sched;
 
 pub use config::{CoreConfig, WindowSize};
 pub use core::{OooCore, RunStats};

@@ -1,34 +1,26 @@
-//! Single-pass window sweeps over a shared instruction tape.
+//! Single-pass window sweeps: every window size from one generated
+//! stream.
 //!
 //! The legacy sweep ([`crate::perf::sweep`]) re-synthesizes the
-//! instruction stream for every window size: eight configurations mean
-//! eight full generator runs over ~identical prefixes. This module
-//! records the stream once in a [`cap_trace::tape::InstTape`] and replays
-//! an independent cursor per configuration, so generation cost is paid a
-//! single time per sweep and the cores spend their cycles simulating.
+//! instruction stream and runs a fresh event-driven [`OooCore`] per
+//! window size. Here each generated instruction is pushed through every
+//! window's forward recurrence ([`crate::sched`]) before the next one is
+//! generated, so the stream is produced once (up to
+//! `insts + commit_width - 1` instructions) and nothing is recorded.
+//! Every [`QueueSweepPoint`] is bit-identical to the legacy path's (the
+//! tests and `cap-verify` hold this as an invariant).
 //!
-//! Unlike the cache multisweep — where one traversal literally computes
-//! all boundaries at once from stack distances — the window simulations
-//! cannot be fused: IPC at window `W` depends on the full scheduling
-//! dynamics at that size. What *is* shared is the input. Each
-//! configuration still runs on its own [`OooCore`], driven by a cursor
-//! that replays exactly the instructions a pristine generator would have
-//! produced, so every [`QueueSweepPoint`] is bit-identical to the legacy
-//! path's (the tests and `cap-verify` hold this as an invariant).
-//!
-//! The tape is lazy and grows only as far as the hungriest configuration
-//! reads (a core fetches roughly `insts + occupancy` instructions), so
-//! peak memory is one `Inst` (~40 bytes) per simulated instruction.
+//! [`OooCore`]: crate::core::OooCore
 
-use crate::config::WindowSize;
+use crate::config::{CoreConfig, WindowSize};
 use crate::error::OooError;
-use crate::perf::{sweep_point, QueueSweepPoint};
+use crate::perf::{tpi, QueueSweepPoint};
+use crate::sched;
 use cap_timing::queue::QueueTimingModel;
 use cap_trace::inst::InstStream;
-use cap_trace::tape::InstTape;
 
-/// Simulates every window size over one shared recorded instruction
-/// stream (Figure 10 methodology, single-generation).
+/// Simulates every window size over one generated instruction stream
+/// (Figure 10 methodology, single-generation).
 ///
 /// Results are bit-identical to [`crate::perf::sweep`] called with a
 /// fresh clone of `gen` per window.
@@ -42,14 +34,26 @@ pub fn multisweep<S: InstStream>(
     windows: impl IntoIterator<Item = WindowSize>,
     timing: &QueueTimingModel,
 ) -> Result<Vec<QueueSweepPoint>, OooError> {
-    let tape = InstTape::new(gen);
-    windows.into_iter().map(|w| sweep_point(tape.cursor(), insts, w, timing)).collect()
+    let windows: Vec<WindowSize> = windows.into_iter().collect();
+    let configs = windows
+        .iter()
+        .map(|w| CoreConfig::isca98(w.entries()))
+        .collect::<Result<Vec<_>, _>>()?;
+    let stats = sched::run_many(gen, &configs, insts)?;
+    windows
+        .into_iter()
+        .zip(stats)
+        .map(|(window, stats)| {
+            let (cycle, tpi) = tpi(window, stats, timing)?;
+            Ok(QueueSweepPoint { window, stats, cycle, tpi })
+        })
+        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::sweep;
+    use crate::perf::{sweep, sweep_point};
     use cap_timing::Technology;
     use cap_trace::inst::{IlpParams, SegmentIlp};
 
@@ -83,22 +87,6 @@ mod tests {
                 assert_eq!(a.tpi.value().to_bits(), b.tpi.value().to_bits());
             }
         }
-    }
-
-    #[test]
-    fn tape_generates_once_for_all_windows() {
-        let gen = SegmentIlp::new(IlpParams::balanced(), 5).unwrap();
-        let tape = InstTape::new(gen);
-        let points: Vec<_> = WindowSize::paper_sweep()
-            .into_iter()
-            .map(|w| sweep_point(tape.cursor(), 10_000, w, &timing()).unwrap())
-            .collect();
-        assert_eq!(points.len(), 8);
-        // The hungriest configuration reads target + commit overshoot +
-        // window occupancy; everything else reuses its prefix.
-        let generated = tape.generated();
-        assert!(generated >= 10_000);
-        assert!(generated < 10_000 + 8 + 129, "over-generated: {generated}");
     }
 
     #[test]

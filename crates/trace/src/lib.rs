@@ -21,8 +21,6 @@
 //!   (Figures 12–13).
 //! * [`stack`] — an LRU stack-distance profiler used to validate the
 //!   memory generators against their calibration targets.
-//! * [`tape`] — a lazily recorded instruction tape so one synthesized
-//!   stream can drive many simulations (the window multisweep).
 //! * [`rng`] — a small deterministic RNG wrapper so every trace is exactly
 //!   reproducible from a `u64` seed.
 //!
@@ -54,7 +52,6 @@ pub mod mem;
 pub mod phase;
 pub mod rng;
 pub mod stack;
-pub mod tape;
 
 pub use error::TraceError;
 pub use inst::{Inst, InstStream};

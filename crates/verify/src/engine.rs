@@ -13,7 +13,9 @@ use crate::invariants::{
     curve_best_invariants, greedy_equals_degenerate_confidence, journal_replay_roundtrip,
     offline_optima_match_series, oracle_bound, reference_oracle_bound,
 };
-use crate::multisweep::{cache_one_pass_vs_legacy, core_vs_scan_reference, queue_tape_vs_legacy};
+use crate::multisweep::{
+    cache_one_pass_vs_legacy, core_vs_scan_reference, queue_recurrence_vs_core, recurrence_vs_scan,
+};
 use crate::rng::Rng;
 use crate::scenario::{Scenario, StreamKind};
 use crate::shrink::{shrink, DEFAULT_SHRINK_BUDGET};
@@ -274,8 +276,12 @@ pub fn run_verify(cfg: &VerifyConfig, progress: &mut dyn FnMut(&PropertyReport))
         cache_one_pass_vs_legacy(rng)
     });
     push(r, progress);
-    let r = run_seeded_property("sweep/queue/tape-vs-legacy", cfg, sweep_cases, &|rng, _| {
-        queue_tape_vs_legacy(rng)
+    let r = run_seeded_property("sweep/queue/recurrence-vs-core", cfg, sweep_cases, &|rng, _| {
+        queue_recurrence_vs_core(rng)
+    });
+    push(r, progress);
+    let r = run_seeded_property("sweep/queue/recurrence-vs-scan", cfg, sweep_cases, &|rng, _| {
+        recurrence_vs_scan(rng)
     });
     push(r, progress);
     let r = run_seeded_property("sweep/ooo/core-vs-scan", cfg, sweep_cases, &|rng, _| {
@@ -347,7 +353,10 @@ pub fn replay(text: &str, scratch: &Path) -> Result<ReplayOutcome, String> {
         "sweep/cache/one-pass-vs-legacy" => {
             outcome_of(cache_one_pass_vs_legacy(&mut rng).map(|()| true))
         }
-        "sweep/queue/tape-vs-legacy" => outcome_of(queue_tape_vs_legacy(&mut rng).map(|()| true)),
+        "sweep/queue/recurrence-vs-core" => {
+            outcome_of(queue_recurrence_vs_core(&mut rng).map(|()| true))
+        }
+        "sweep/queue/recurrence-vs-scan" => outcome_of(recurrence_vs_scan(&mut rng).map(|()| true)),
         "sweep/ooo/core-vs-scan" => outcome_of(core_vs_scan_reference(&mut rng).map(|()| true)),
         other => Err(format!("repro names an unknown property {other:?}")),
     }
@@ -374,8 +383,8 @@ mod tests {
         assert!(!report.failed());
         assert_eq!(lines, report.properties.len());
         // 16 diff + 8 oracle + 2 equiv + curve + journal + offline
-        // + 3 sweep-engine differentials.
-        assert_eq!(report.properties.len(), 32);
+        // + 4 sweep-engine differentials.
+        assert_eq!(report.properties.len(), 33);
     }
 
     #[test]

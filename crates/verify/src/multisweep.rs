@@ -6,17 +6,20 @@
 //! * the cache sweep classifies each reference by stack distance once
 //!   and derives every boundary's counters from the shared profile
 //!   ([`cap_cache::multisweep`]);
-//! * the queue sweep records the generated instruction stream on a
-//!   shared tape and replays it at every window size
-//!   ([`cap_ooo::multisweep`]), on a core whose wakeup bookkeeping is
-//!   incremental rather than a full window scan
-//!   ([`cap_ooo::core::OooCore`] vs [`cap_ooo::reference::ScanCore`]).
+//! * the queue sweep pushes one generated instruction stream through
+//!   every window size's forward recurrence at once
+//!   ([`cap_ooo::multisweep`], [`cap_ooo::sched`]).
 //!
 //! Each fast path is claimed *bit-identical* to its reference — that is
 //! what lets the goldens stay byte-for-byte stable across the engine
-//! swap. These properties keep the claim checked under fuzzing: random
-//! workload apps × seeds × trace lengths, counters compared as integers
-//! and every derived time as `f64::to_bits`.
+//! swap. For the queue the references form a chain: the recurrence
+//! against the event-driven [`cap_ooo::core::OooCore`] on workload
+//! streams, the recurrence against the full-window
+//! [`cap_ooo::reference::ScanCore`] on hand-built streams, and
+//! `OooCore` against `ScanCore` cycle by cycle across resizes. These
+//! properties keep the claims checked under fuzzing: random workload
+//! apps × seeds × trace lengths, counters compared as integers and every
+//! derived time as `f64::to_bits`.
 
 use crate::rng::Rng;
 use cap_cache::config::Boundary;
@@ -29,6 +32,7 @@ use cap_ooo::reference::ScanCore;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
+use cap_trace::inst::{Inst, InstStream};
 use cap_workloads::App;
 
 /// One fuzzed cache case: a random suite application, seed and trace
@@ -114,13 +118,13 @@ fn compare_cache_points(
 
 /// One fuzzed queue case: a random suite application, seed and run
 /// length, swept over every paper window size by both engines (the
-/// legacy path regenerates the stream per window; the fast path replays
-/// one shared tape).
+/// legacy path runs one `OooCore` per window on a regenerated stream;
+/// the fast path runs every window's recurrence over one stream).
 ///
 /// # Errors
 ///
 /// Returns a message naming the first diverging window and field.
-pub fn queue_tape_vs_legacy(rng: &mut Rng) -> Result<(), String> {
+pub fn queue_recurrence_vs_core(rng: &mut Rng) -> Result<(), String> {
     let apps: Vec<App> = App::queue_suite().collect();
     let app = *rng.pick(&apps);
     let seed = rng.next_u64();
@@ -130,33 +134,33 @@ pub fn queue_tape_vs_legacy(rng: &mut Rng) -> Result<(), String> {
     let legacy =
         cap_ooo::perf::sweep(|| profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
             .map_err(|e| format!("legacy sweep failed: {e}"))?;
-    let tape =
+    let fused =
         cap_ooo::multisweep::multisweep(profile.build(seed), insts, WindowSize::paper_sweep(), &timing)
-            .map_err(|e| format!("tape sweep failed: {e}"))?;
+            .map_err(|e| format!("recurrence sweep failed: {e}"))?;
     let ctx = format!("app {} seed {seed} insts {insts}", app.name());
-    compare_queue_points(&ctx, &legacy, &tape)
+    compare_queue_points(&ctx, &legacy, &fused)
 }
 
 fn compare_queue_points(
     ctx: &str,
     legacy: &[QueueSweepPoint],
-    tape: &[QueueSweepPoint],
+    fused: &[QueueSweepPoint],
 ) -> Result<(), String> {
-    if legacy.len() != tape.len() {
+    if legacy.len() != fused.len() {
         return Err(format!(
-            "{ctx}: point counts differ (legacy {} vs tape {})",
+            "{ctx}: point counts differ (legacy {} vs recurrence {})",
             legacy.len(),
-            tape.len()
+            fused.len()
         ));
     }
-    for (l, t) in legacy.iter().zip(tape) {
+    for (l, t) in legacy.iter().zip(fused) {
         let w = l.window;
         if t.window != w {
             return Err(format!("{ctx}: window order diverged at {w} vs {}", t.window));
         }
         if l.stats.cycles != t.stats.cycles || l.stats.committed != t.stats.committed {
             return Err(format!(
-                "{ctx} window {w}: stats {:?} (legacy) != {:?} (tape)",
+                "{ctx} window {w}: stats {:?} (legacy) != {:?} (recurrence)",
                 l.stats, t.stats
             ));
         }
@@ -169,6 +173,71 @@ fn compare_queue_points(
                 l.tpi, t.tpi
             ));
         }
+    }
+    Ok(())
+}
+
+/// A hand-built instruction stream for [`recurrence_vs_scan`]: random
+/// latencies in `1..=64` (mostly short), and dependences that are near,
+/// window-scale (including one either side of the simulated window,
+/// where the recurrence stops looking back), or far enough back that the
+/// producer has committed.
+#[derive(Debug, Clone)]
+struct HandStream {
+    rng: Rng,
+    seq: u64,
+    window: u64,
+}
+
+impl HandStream {
+    fn dep(&mut self) -> Option<u64> {
+        let back = match self.rng.below(8) {
+            0..=3 => self.rng.range(1, 8),
+            4 => self.rng.range(9, 160),
+            5 => self.window + self.rng.range(0, 2) - 1,
+            6 => self.rng.range(160, 2_000),
+            _ => return None,
+        };
+        self.seq.checked_sub(back)
+    }
+}
+
+impl InstStream for HandStream {
+    fn next_inst(&mut self) -> Inst {
+        let dep1 = self.dep();
+        let dep2 = if self.rng.chance(0.3) { self.dep() } else { None };
+        let latency =
+            if self.rng.chance(0.8) { self.rng.range(1, 4) } else { self.rng.range(1, 64) };
+        let inst = Inst { seq: self.seq, dep1, dep2, latency: latency as u32 };
+        self.seq += 1;
+        inst
+    }
+}
+
+/// One fuzzed recurrence case: a random paper window size and run
+/// length over a hand-built stream, scheduled by the one-window forward
+/// recurrence and run on the full-scan reference core.
+///
+/// # Errors
+///
+/// Returns a message naming the case and both results on divergence.
+pub fn recurrence_vs_scan(rng: &mut Rng) -> Result<(), String> {
+    let sizes: Vec<WindowSize> = WindowSize::paper_sweep().collect();
+    let window = *rng.pick(&sizes);
+    let insts = rng.range(200, 2_000);
+    let stream =
+        HandStream { rng: Rng::new(rng.next_u64()), seq: 0, window: window.entries() as u64 };
+    let config = CoreConfig::isca98(window.entries())
+        .map_err(|e| format!("config construction failed: {e}"))?;
+    let fused = cap_ooo::sched::run(stream.clone(), config, insts)
+        .map_err(|e| format!("recurrence rejected config: {e}"))?;
+    let mut scan =
+        ScanCore::try_new(config).map_err(|e| format!("reference core rejected config: {e}"))?;
+    let reference = scan.run(&mut stream.clone(), insts);
+    if fused != reference {
+        return Err(format!(
+            "window {window} insts {insts}: {fused:?} (recurrence) != {reference:?} (scan)"
+        ));
     }
     Ok(())
 }
@@ -252,7 +321,15 @@ mod tests {
     fn queue_engines_agree_on_a_quick_sample() {
         let mut rng = Rng::for_case(1, "queue-sweep-unit", 0);
         for _ in 0..8 {
-            queue_tape_vs_legacy(&mut rng).unwrap();
+            queue_recurrence_vs_core(&mut rng).unwrap();
+        }
+    }
+
+    #[test]
+    fn recurrence_and_scan_agree_on_a_quick_sample() {
+        let mut rng = Rng::for_case(1, "recurrence-scan-unit", 0);
+        for _ in 0..8 {
+            recurrence_vs_scan(&mut rng).unwrap();
         }
     }
 
