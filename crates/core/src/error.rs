@@ -56,10 +56,9 @@ pub enum CapError {
     /// (SIGINT/SIGTERM). Completed legs are committed to the journal;
     /// rerunning with `--resume` replays them and continues.
     Interrupted,
-    /// An internal invariant failed to hold. Campaign infrastructure
-    /// (the plan executor, the campaign service) reports broken
-    /// invariants as this structured error instead of panicking, so one
-    /// bad request can never take down a server handling others.
+    /// An internal invariant failed to hold. The plan executor reports
+    /// a leg that neither resolved nor errored as this structured error
+    /// instead of panicking.
     Internal {
         /// Which invariant broke.
         what: String,

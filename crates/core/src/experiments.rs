@@ -35,10 +35,8 @@ use cap_obs::{
     LegTimeoutEvent, Recorder,
 };
 use cap_par::{
-    CacheKey, ChaosInjector, Gate, GuardedOutcome, Journal, Pool, ResultCache, SingleFlight,
-    WatchdogPolicy,
+    CacheKey, ChaosInjector, GuardedOutcome, Journal, Pool, ResultCache, WatchdogPolicy,
 };
-use cap_par::pool::GatePermit;
 use cap_timing::cacti::CacheTimingModel;
 use cap_timing::queue::QueueTimingModel;
 use cap_timing::Technology;
@@ -202,16 +200,7 @@ pub struct ExecPolicy {
     watchdog: WatchdogPolicy,
     chaos: Option<ChaosInjector>,
     sweep_engine: SweepEngine,
-    flight: Option<Arc<LegFlight>>,
-    gate: Option<Arc<Gate>>,
 }
-
-/// The single-flight table the campaign service shares across
-/// concurrent executors. The published value is the computed leg value
-/// plus whether the leader found it already stored in the result cache
-/// (a *late* cache hit — another campaign finished it between this
-/// plan's resolve phase and the leg's dispatch).
-pub type LegFlight = SingleFlight<Result<(Value, bool), CapError>>;
 
 impl ExecPolicy {
     /// One leg at a time, no memoization — the reference path.
@@ -224,8 +213,6 @@ impl ExecPolicy {
             watchdog: WatchdogPolicy::none(),
             chaos: None,
             sweep_engine: SweepEngine::default(),
-            flight: None,
-            gate: None,
         }
     }
 
@@ -253,34 +240,6 @@ impl ExecPolicy {
     #[must_use]
     pub fn with_journal(mut self, journal: Journal) -> Self {
         self.journal = Some(Arc::new(Mutex::new(journal)));
-        self
-    }
-
-    /// Attaches an already-shared journal handle. The campaign service
-    /// uses this to let identical concurrent campaigns commit into one
-    /// journal (appends are serialized by the mutex and idempotent per
-    /// leg key); the single-ownership `with_journal` stays the CLI path.
-    #[must_use]
-    pub fn with_shared_journal(mut self, journal: Arc<Mutex<Journal>>) -> Self {
-        self.journal = Some(journal);
-        self
-    }
-
-    /// Attaches a shared single-flight table: concurrent executors
-    /// (campaign-service requests) holding the same table compute each
-    /// distinct leg exactly once and share the result.
-    #[must_use]
-    pub fn with_flight(mut self, flight: Arc<LegFlight>) -> Self {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Attaches a shared worker gate bounding concurrent leg computation
-    /// across every executor holding it (the campaign service's global
-    /// `--jobs` budget).
-    #[must_use]
-    pub fn with_gate(mut self, gate: Arc<Gate>) -> Self {
-        self.gate = Some(gate);
         self
     }
 
@@ -349,8 +308,6 @@ impl ExecPolicy {
             watchdog,
             chaos,
             sweep_engine,
-            flight: None,
-            gate: None,
         })
     }
 
@@ -386,19 +343,6 @@ impl ExecPolicy {
 
     pub(crate) fn pool(&self) -> Pool {
         Pool::new(self.jobs).with_recorder(self.recorder.clone())
-    }
-
-    /// The shared single-flight table, when executing under the
-    /// campaign service.
-    pub(crate) fn flight(&self) -> Option<&Arc<LegFlight>> {
-        self.flight.as_ref()
-    }
-
-    /// Claims a slot from the shared worker gate, when one is attached.
-    /// Callers hold the permit exactly for the duration of a leg's
-    /// compute — never while waiting on a single-flight slot.
-    pub(crate) fn acquire_worker(&self) -> Option<GatePermit<'_>> {
-        self.gate.as_deref().map(Gate::acquire)
     }
 
     /// Journal lookup with a `journal-leg` replay event. Returns the
@@ -510,7 +454,6 @@ impl ExecPolicy {
             }
         }
     }
-
 }
 
 impl Default for ExecPolicy {

@@ -35,10 +35,6 @@
 //!   of content-addressed legs plus pure reduces, resolved and run by
 //!   one executor that inherits caching, journaling, fan-out, watchdog
 //!   and chaos from the [`experiments::ExecPolicy`] uniformly.
-//! * [`serve`] — the campaign service: a line-delimited-JSON TCP server
-//!   that executes submitted campaigns on one shared worker pool,
-//!   result cache and single-flight dedup table, with admission
-//!   control and graceful drain (`capsim serve` / `submit` / `status`).
 //! * [`report`] — plain-text rendering used by the `figNN` binaries.
 //!
 //! # Example
@@ -72,7 +68,6 @@ pub mod policy;
 pub mod power;
 pub(crate) mod replay;
 pub mod report;
-pub mod serve;
 pub mod structure;
 
 pub use clock::DynamicClock;

@@ -39,7 +39,6 @@ use crate::experiments::{
 use crate::policy::PolicyKind;
 use crate::replay::FromJson;
 use crate::report;
-use cap_obs::{Event, LegDedupEvent};
 use cap_par::{BatchResult, CacheKey};
 use cap_workloads::App;
 use serde::Serialize;
@@ -63,7 +62,7 @@ type Render = Arc<dyn Fn(&[&Value]) -> Result<String, CapError> + Send + Sync>;
 
 /// One content-addressed unit of campaign work.
 ///
-/// A leg owns its compute closure (including any [`ExecPolicy::guarded`]
+/// A leg owns its compute closure (including any `ExecPolicy::guarded`
 /// wrapping and sweep-engine dispatch — the executor imposes none, so
 /// drivers keep their historical guarding exactly) and a validator that
 /// decides whether a journaled or cached [`Value`] has the shape the
@@ -207,32 +206,12 @@ impl ExperimentSpec {
     }
 }
 
-/// Where each leg's value came from during one [`Executor::run`],
-/// tallied per run. The campaign service aggregates these counters
-/// across requests to *prove* single-flight dedup: for two concurrent
-/// submissions of the same campaign, `computed` across both runs equals
-/// the leg count of one, and the overlap shows up as `deduped`.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct RunStats {
-    /// Legs replayed from the attached journal.
-    pub journal_hits: u64,
-    /// Legs decoded from the result cache (including late hits observed
-    /// inside a single-flight slot after waiting for the map lock).
-    pub cache_hits: u64,
-    /// Legs actually computed by this run.
-    pub computed: u64,
-    /// Legs whose value was shared from a concurrent run's in-flight
-    /// computation (single-flight dedup; only under the service).
-    pub deduped: u64,
-}
-
 /// The outcome of [`Executor::run`]: every leg's value plus the
 /// concatenated reduce output.
 #[derive(Debug)]
 pub struct PlanRun {
     values: Vec<Value>,
     rendered: String,
-    stats: RunStats,
 }
 
 impl PlanRun {
@@ -245,22 +224,6 @@ impl PlanRun {
     pub fn rendered(&self) -> &str {
         &self.rendered
     }
-
-    /// Per-run source tallies (journal / cache / computed / deduped).
-    pub fn stats(&self) -> RunStats {
-        self.stats
-    }
-}
-
-/// Where one executed leg's value came from (commit-loop bookkeeping).
-enum LegSource {
-    /// This run computed the value itself.
-    Computed,
-    /// A concurrent run computed it; single-flight shared the value.
-    Deduped,
-    /// The result cache filled while this leg waited for its
-    /// single-flight slot — probed again inside the slot, hit.
-    LateCacheHit,
 }
 
 /// How [`Executor::resolve`] classified one leg.
@@ -408,21 +371,18 @@ impl Executor {
     /// replays them).
     pub fn run(spec: &ExperimentSpec, exec: &ExecPolicy) -> Result<PlanRun, CapError> {
         let legs = spec.legs();
-        let mut stats = RunStats::default();
         let mut values: Vec<Option<Value>> = legs
             .iter()
             .map(|leg| {
                 if let Some(hit) =
                     exec.journal_lookup(&leg.key).filter(|v| (leg.validate)(v))
                 {
-                    stats.journal_hits += 1;
                     return Some(hit);
                 }
                 let hit = exec
                     .probe_cache(leg.cache_key.as_ref()?)
                     .filter(|v| (leg.validate)(v))?;
                 exec.journal_append(&leg.key, &hit);
-                stats.cache_hits += 1;
                 Some(hit)
             })
             .collect();
@@ -430,7 +390,7 @@ impl Executor {
         let pending: Vec<usize> = (0..legs.len()).filter(|&i| values[i].is_none()).collect();
         let batch = exec
             .pool()
-            .ordered_map_drain(pending, |_, i| (i, Self::run_leg(&legs[i], exec)));
+            .ordered_map_drain(pending, |_, i| (i, (legs[i].compute)(exec)));
         let (results, drained) = match batch {
             BatchResult::Complete(results) => {
                 (results.into_iter().map(Some).collect::<Vec<_>>(), false)
@@ -443,38 +403,14 @@ impl Executor {
         let mut failed: Option<CapError> = None;
         for item in results {
             match item {
-                Some((i, (Ok(value), source))) => {
+                Some((i, Ok(value))) => {
                     exec.journal_append(&legs[i].key, &value);
-                    match source {
-                        LegSource::Computed => {
-                            stats.computed += 1;
-                            // Under a single-flight table the leader
-                            // already stored inside the slot (so the
-                            // store lands before followers observe the
-                            // value); the non-service path stores here,
-                            // keeping the CLI event order golden.
-                            if exec.flight().is_none() {
-                                if let Some(key) = &legs[i].cache_key {
-                                    exec.store_cache(key, &value);
-                                }
-                            }
-                        }
-                        LegSource::Deduped => {
-                            stats.deduped += 1;
-                            let recorder = exec.recorder();
-                            if recorder.enabled() {
-                                recorder.record(&Event::LegDedup(LegDedupEvent {
-                                    leg: legs[i].key.clone(),
-                                }));
-                            }
-                        }
-                        LegSource::LateCacheHit => {
-                            stats.cache_hits += 1;
-                        }
+                    if let Some(key) = &legs[i].cache_key {
+                        exec.store_cache(key, &value);
                     }
                     values[i] = Some(value);
                 }
-                Some((_, (Err(e), _))) => {
+                Some((_, Err(e))) => {
                     failed.get_or_insert(e);
                 }
                 None => {}
@@ -501,56 +437,7 @@ impl Executor {
             let deps: Vec<&Value> = reduce.deps.iter().map(|id| &values[id.0]).collect();
             rendered.push_str(&(reduce.render)(&deps)?);
         }
-        Ok(PlanRun { values, rendered, stats })
-    }
-
-    /// Executes one pending leg, routing through the shared
-    /// single-flight table when the policy carries one (the campaign
-    /// service): concurrent runs of the same leg elect one leader, the
-    /// rest share its value. Inside the slot the leader re-probes the
-    /// result cache (another request may have stored the value while
-    /// this one waited), claims a shared-gate permit only for the
-    /// actual compute, and publishes the cache store before followers
-    /// can observe the value — so "computed exactly once" holds even
-    /// against the cache.
-    fn run_leg(leg: &Leg, exec: &ExecPolicy) -> (Result<Value, CapError>, LegSource) {
-        let compute = || {
-            if exec.flight().is_some() {
-                if let Some(hit) = leg
-                    .cache_key
-                    .as_ref()
-                    .and_then(|key| exec.probe_cache(key))
-                    .filter(|v| (leg.validate)(v))
-                {
-                    return Ok((hit, true));
-                }
-            }
-            let _permit = exec.acquire_worker();
-            let value = (leg.compute)(exec)?;
-            if exec.flight().is_some() {
-                if let Some(key) = &leg.cache_key {
-                    exec.store_cache(key, &value);
-                }
-            }
-            Ok((value, false))
-        };
-        let (result, shared) = match exec.flight() {
-            Some(flight) => flight.work(&leg.key, compute),
-            None => (compute(), false),
-        };
-        match result {
-            Ok((value, late_hit)) => {
-                let source = if shared {
-                    LegSource::Deduped
-                } else if late_hit {
-                    LegSource::LateCacheHit
-                } else {
-                    LegSource::Computed
-                };
-                (Ok(value), source)
-            }
-            Err(e) => (Err(e), LegSource::Computed),
-        }
+        Ok(PlanRun { values, rendered })
     }
 }
 

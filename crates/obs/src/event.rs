@@ -223,25 +223,6 @@ pub struct LegTimeoutEvent {
     pub timeout_ms: u64,
 }
 
-/// A campaign-request lifecycle transition inside `capsim serve`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ServeRequestEvent {
-    /// Server-assigned request id (monotonic per server process).
-    pub id: u64,
-    /// The submitted campaign, as its space-joined argument list.
-    pub campaign: String,
-    /// `"accepted"`, `"done"`, `"failed"` or `"rejected"`.
-    pub action: &'static str,
-}
-
-/// A leg served from another in-flight campaign's computation instead
-/// of being recomputed (single-flight deduplication).
-#[derive(Debug, Clone, PartialEq)]
-pub struct LegDedupEvent {
-    /// The leg's canonical key.
-    pub leg: String,
-}
-
 /// A structured trace event.
 ///
 /// Serialized via [`Event::write_json`] as one JSON object per line, tagged
@@ -278,10 +259,6 @@ pub enum Event {
     CacheQuarantine(CacheQuarantineEvent),
     /// Leg abandoned as timed out.
     LegTimeout(LegTimeoutEvent),
-    /// Campaign-service request transition.
-    ServeRequest(ServeRequestEvent),
-    /// Leg shared via single-flight deduplication.
-    LegDedup(LegDedupEvent),
 }
 
 /// Incremental single-object JSON writer over the vendored serde primitives.
@@ -332,8 +309,6 @@ impl Event {
             Event::JournalLeg(_) => "journal-leg",
             Event::CacheQuarantine(_) => "cache-quarantine",
             Event::LegTimeout(_) => "leg-timeout",
-            Event::ServeRequest(_) => "serve-request",
-            Event::LegDedup(_) => "leg-dedup",
         }
     }
 
@@ -434,14 +409,6 @@ impl Event {
                 obj.field("leg", e.leg.as_str())
                     .field("attempts", &e.attempts)
                     .field("timeout_ms", &e.timeout_ms);
-            }
-            Event::ServeRequest(e) => {
-                obj.field("id", &e.id)
-                    .field("campaign", e.campaign.as_str())
-                    .field("action", e.action);
-            }
-            Event::LegDedup(e) => {
-                obj.field("leg", e.leg.as_str());
             }
         }
         obj.finish();
@@ -589,14 +556,6 @@ mod tests {
                 leg: "queue-sweep|gcc|point=3".into(),
                 attempts: 3,
                 timeout_ms: 500,
-            }),
-            Event::ServeRequest(ServeRequestEvent {
-                id: 3,
-                campaign: "sweep all --seed 7".into(),
-                action: "accepted",
-            }),
-            Event::LegDedup(LegDedupEvent {
-                leg: "cache-sweep|radar|smoke|seed=0x1|L1 8..64KB x8|v1".into(),
             }),
         ];
         for ev in events {

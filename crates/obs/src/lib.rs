@@ -37,9 +37,9 @@ pub mod summary;
 
 pub use event::{
     CacheProbeEvent, CacheQuarantineEvent, CacheSimEvent, CacheStoreEvent, ClockSwitchEvent,
-    DecisionEvent, Event, JournalLegEvent, LegDedupEvent, LegTimeoutEvent, PatternEvent,
+    DecisionEvent, Event, JournalLegEvent, LegTimeoutEvent, PatternEvent,
     PoolBatchEvent, ProbationEvent, QuarantineEvent, SafeModeEvent, SampleEvent,
-    ServeRequestEvent, SwitchResultEvent,
+    SwitchResultEvent,
 };
 pub use metrics::DecisionCounts;
 pub use sink::{recorder_from_env, JsonlRecorder, RingRecorder};

@@ -73,11 +73,6 @@ pub struct TraceSummary {
     pub cache_quarantines: u64,
     /// Legs abandoned by the watchdog.
     pub leg_timeouts: u64,
-    /// Campaign-service request transitions keyed by the stable `action`
-    /// tag (`accepted` / `done` / `failed` / `rejected`).
-    pub serve_requests: BTreeMap<String, u64>,
-    /// Legs shared via single-flight deduplication instead of recomputed.
-    pub legs_deduped: u64,
     /// Whether the trace ended in a torn (truncated) final line that was
     /// dropped — the signature of a crashed run.
     pub truncated: bool,
@@ -218,15 +213,6 @@ impl TraceSummary {
                     str_field(&v, "leg", line)?;
                     sum.leg_timeouts += 1;
                 }
-                "serve-request" => {
-                    u64_field(&v, "id", line)?;
-                    let action = str_field(&v, "action", line)?;
-                    *sum.serve_requests.entry(action).or_insert(0) += 1;
-                }
-                "leg-dedup" => {
-                    str_field(&v, "leg", line)?;
-                    sum.legs_deduped += 1;
-                }
                 _ => {} // forward compatibility: count it, skip the payload
             }
         }
@@ -296,15 +282,6 @@ impl TraceSummary {
         }
         if self.leg_timeouts > 0 {
             out.push_str(&format!("timed-out legs: {}\n", self.leg_timeouts));
-        }
-        if !self.serve_requests.is_empty() {
-            out.push_str("\nserve requests:\n");
-            for (action, n) in &self.serve_requests {
-                out.push_str(&format!("  {action:<10} {n}\n"));
-            }
-        }
-        if self.legs_deduped > 0 {
-            out.push_str(&format!("deduped legs (single-flight): {}\n", self.legs_deduped));
         }
         out
     }
@@ -416,6 +393,18 @@ mod tests {
             .expect("unknown kinds are skipped");
         assert_eq!(sum.events, 1);
         assert!(sum.apps.is_empty());
+
+        // Older traces carry kinds no current event writes (the retired
+        // campaign service's `serve-request` and `leg-dedup`); they still
+        // summarise: counted, payload skipped.
+        let old = concat!(
+            "{\"ev\":\"serve-request\",\"id\":3,\"campaign\":\"sweep all --seed 7\",\"action\":\"accepted\"}\n",
+            "{\"ev\":\"leg-dedup\",\"leg\":\"cache-sweep|radar|smoke|seed=0x1|L1 8..64KB x8|v1\"}\n",
+        );
+        let sum = TraceSummary::from_jsonl(old).expect("retired kinds are skipped");
+        assert_eq!(sum.events, 2);
+        assert!(sum.apps.is_empty());
+        assert!(!sum.truncated);
     }
 
     #[test]
@@ -465,41 +454,5 @@ mod tests {
         assert!(report.contains("quarantined cache entries: 1"), "{report}");
         assert!(report.contains("timed-out legs: 1"), "{report}");
         assert!(!report.contains("warning:"), "{report}");
-    }
-
-    #[test]
-    fn serve_and_dedup_events_are_counted() {
-        let text = jsonl(&[
-            Event::ServeRequest(crate::ServeRequestEvent {
-                id: 1,
-                campaign: "sweep all".into(),
-                action: "accepted",
-            }),
-            Event::ServeRequest(crate::ServeRequestEvent {
-                id: 2,
-                campaign: "sweep all".into(),
-                action: "accepted",
-            }),
-            Event::ServeRequest(crate::ServeRequestEvent {
-                id: 1,
-                campaign: "sweep all".into(),
-                action: "done",
-            }),
-            Event::ServeRequest(crate::ServeRequestEvent {
-                id: 3,
-                campaign: "headline".into(),
-                action: "rejected",
-            }),
-            Event::LegDedup(crate::LegDedupEvent { leg: "cache-curve|radar".into() }),
-            Event::LegDedup(crate::LegDedupEvent { leg: "cache-curve|gcc".into() }),
-        ]);
-        let sum = TraceSummary::from_jsonl(&text).expect("summarizes");
-        assert_eq!(sum.serve_requests.get("accepted"), Some(&2));
-        assert_eq!(sum.serve_requests.get("done"), Some(&1));
-        assert_eq!(sum.serve_requests.get("rejected"), Some(&1));
-        assert_eq!(sum.legs_deduped, 2);
-        let report = sum.render();
-        assert!(report.contains("serve requests:"), "{report}");
-        assert!(report.contains("deduped legs (single-flight): 2"), "{report}");
     }
 }

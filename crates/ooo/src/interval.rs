@@ -43,7 +43,8 @@ impl IntervalSample {
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`] if `interval_len` is zero.
+/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength)
+/// if `interval_len` is zero.
 pub fn record_intervals<S: InstStream>(
     core: &mut OooCore,
     stream: &mut S,
@@ -60,7 +61,8 @@ pub fn record_intervals<S: InstStream>(
 ///
 /// # Errors
 ///
-/// Returns [`OooError::ZeroIntervalLength`] if `interval_len` is zero.
+/// Returns [`OooError::ZeroIntervalLength`](crate::error::OooError::ZeroIntervalLength)
+/// if `interval_len` is zero.
 pub fn record_intervals_observed<S: InstStream>(
     core: &mut OooCore,
     stream: &mut S,

@@ -24,10 +24,6 @@
 //!   `capsim` signal handler and polled at leg boundaries.
 //! * [`chaos`] — deterministic harness-level fault injection (leg
 //!   panics, stalls, simulated kills) behind `capsim chaos`.
-//! * [`singleflight`] — keyed in-flight deduplication for the campaign
-//!   service: concurrent campaigns sharing a leg compute it once; the
-//!   companion [`pool::Gate`] bounds total concurrent computation
-//!   across independent executors to one worker budget.
 //!
 //! The pool and cache report into the [`cap_obs`] observability layer
 //! when a recorder is attached: the pool emits per-batch execution/steal
@@ -44,7 +40,6 @@ pub mod chaos;
 pub mod journal;
 pub mod pool;
 pub mod shutdown;
-pub mod singleflight;
 pub mod watchdog;
 
 pub use cache::{
@@ -52,7 +47,6 @@ pub use cache::{
 };
 pub use chaos::ChaosInjector;
 pub use journal::{Journal, JournalHeader, CHAOS_KILL_EXIT, JOURNAL_FORMAT_VERSION};
-pub use pool::{effective_jobs, jobs_from_env, BatchResult, Gate, GatePermit, Pool};
+pub use pool::{effective_jobs, jobs_from_env, BatchResult, Pool};
 pub use shutdown::{drain_requested, request_drain, reset_drain};
-pub use singleflight::SingleFlight;
 pub use watchdog::{CancelToken, GuardedOutcome, WatchdogPolicy};

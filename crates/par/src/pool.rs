@@ -267,64 +267,6 @@ impl Pool {
     }
 }
 
-/// A counting semaphore bounding concurrent leg computation across
-/// *independent* pools.
-///
-/// [`Pool`] workers are batch-scoped: each campaign's executor spins up
-/// its own scoped threads. When the campaign service runs several
-/// campaigns at once, handing every executor the same `Gate` caps the
-/// total number of legs computing simultaneously at the server's
-/// `--jobs`, so N concurrent campaigns still present one worker budget
-/// to the machine. Followers waiting on a single-flight slot never hold
-/// a permit — only code actually computing a leg does — so the gate
-/// cannot deadlock against [`crate::singleflight::SingleFlight`].
-#[derive(Debug)]
-pub struct Gate {
-    permits: Mutex<usize>,
-    freed: std::sync::Condvar,
-}
-
-impl Gate {
-    /// A gate with `permits` concurrent slots (clamped to at least 1).
-    #[must_use]
-    pub fn new(permits: usize) -> Self {
-        Gate {
-            permits: Mutex::new(permits.max(1)),
-            freed: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Blocks until a slot is free and claims it; the permit returns
-    /// its slot when dropped.
-    pub fn acquire(&self) -> GatePermit<'_> {
-        let mut free = self.permits.lock().unwrap_or_else(PoisonError::into_inner);
-        while *free == 0 {
-            free = self.freed.wait(free).unwrap_or_else(PoisonError::into_inner);
-        }
-        *free -= 1;
-        GatePermit { gate: self }
-    }
-}
-
-/// An RAII slot claimed from a [`Gate`]; dropping it frees the slot.
-#[derive(Debug)]
-pub struct GatePermit<'a> {
-    gate: &'a Gate,
-}
-
-impl Drop for GatePermit<'_> {
-    fn drop(&mut self) {
-        let mut free = self
-            .gate
-            .permits
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner);
-        *free += 1;
-        drop(free);
-        self.gate.freed.notify_one();
-    }
-}
-
 /// Reads the `CAP_JOBS` environment variable.
 ///
 /// Unset means "no opinion" (`Ok(None)`). A set value must be a positive
@@ -508,36 +450,6 @@ mod tests {
             BatchResult::Complete(_) => panic!("a mid-batch drain must not complete"),
         }
         reset_drain();
-    }
-
-    #[test]
-    fn gate_bounds_concurrency() {
-        use std::sync::atomic::AtomicUsize;
-        let gate = Gate::new(2);
-        let live = AtomicUsize::new(0);
-        let peak = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            for _ in 0..8 {
-                s.spawn(|| {
-                    let _permit = gate.acquire();
-                    let now = live.fetch_add(1, Ordering::SeqCst) + 1;
-                    peak.fetch_max(now, Ordering::SeqCst);
-                    std::thread::sleep(std::time::Duration::from_millis(10));
-                    live.fetch_sub(1, Ordering::SeqCst);
-                });
-            }
-        });
-        assert!(peak.load(Ordering::SeqCst) <= 2, "gate leaked permits");
-        // All permits returned: two immediate acquires must not block.
-        let a = gate.acquire();
-        let b = gate.acquire();
-        drop((a, b));
-    }
-
-    #[test]
-    fn gate_clamps_zero_to_one() {
-        let gate = Gate::new(0);
-        drop(gate.acquire());
     }
 
     // One test mutates CAP_JOBS for the whole process, so every scenario

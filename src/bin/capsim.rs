@@ -22,11 +22,6 @@
 //!                                  differential-oracle + property-fuzz suite
 //! capsim bench [--quick] [--seed S] [--out FILE]
 //!                                  time the sweep engines, emit BENCH_sweep.json
-//! capsim serve [--addr HOST:PORT] [--jobs N] [--max-inflight M]
-//!                                  run the campaign service
-//! capsim submit <campaign> [--addr HOST:PORT]
-//!                                  run a campaign on the service
-//! capsim status [--addr HOST:PORT] service in-flight campaigns + counters
 //! ```
 //!
 //! Scale is taken from `CAP_SCALE` (`smoke`/`default`/`full`). Sweeps
@@ -58,7 +53,6 @@ use cap::core::manager::ConfidencePolicy;
 use cap::core::plan;
 use cap::core::policy::{PolicyConfig, PolicyKind};
 use cap::core::power::{queue_frontier, PowerModel};
-use cap::core::serve;
 use cap::core::CapError;
 use cap::obs::{recorder_from_env, summary::TraceSummary, JsonlRecorder, Recorder};
 use cap::par::{
@@ -72,7 +66,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError};
 use std::time::Duration;
 
-const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-policies|joint|power|headline|faults|plan|trace-summary|doctor|chaos|verify|bench|serve|submit|status> [app] [options]
+const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-policies|joint|power|headline|faults|plan|trace-summary|doctor|chaos|verify|bench> [app] [options]
   list                 the 22 evaluation applications
   cache <app>          TPI vs L1/L2 boundary (Figure 7 row)
   queue <app>          TPI vs window size (Figure 10 row)
@@ -106,20 +100,6 @@ const USAGE: &str = "usage: capsim <list|cache|queue|sweep|managed|compare-polic
                        (memoized) replay; writes a machine-readable summary
                        (--quick: force smoke scale, --seed S: root seed,
                         --out FILE: summary path, default BENCH_sweep.json)
-  serve                run the campaign service: accept submitted campaigns over
-                       TCP, execute them on one shared pool/cache with
-                       single-flight dedup, drain gracefully on SIGINT/SIGTERM
-                       (--addr HOST:PORT, default 127.0.0.1:1998; --jobs N:
-                        global worker budget; --max-inflight M: concurrent
-                        campaigns, default 4; --addr-file FILE: write the bound
-                        address, for --addr with port 0)
-  submit <campaign>    run one campaign on a running service and print its
-                       report (byte-identical to running it directly):
-                       sweep <kind> | figures | headline | compare-policies <app>
-                       | faults <app>; --addr HOST:PORT; --jobs/--resume/--trace/
-                       --leg-timeout are server-owned and rejected
-  status               show a running service's in-flight campaigns and its
-                       request/leg counters (--addr HOST:PORT)
 policies: process-level | interval-greedy | confidence (default) | hysteresis
 scale via CAP_SCALE = smoke | default | full
 sweep memoization under results/cache (CAP_CACHE_DIR overrides, CAP_NO_CACHE=1 disables)
@@ -413,75 +393,6 @@ fn run_campaign(campaign: &Campaign, flags: &Flags) -> Result<String, String> {
     let run = plan::Executor::run(&campaign.spec, &exec)
         .map_err(|e| campaign_err(e, &exec, &campaign.resume_cmd))?;
     Ok(format!("{}{}", campaign.prelude, run.rendered()))
-}
-
-/// Parsed `capsim serve` options.
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct ServeOpts {
-    addr: String,
-    jobs: Option<usize>,
-    max_inflight: usize,
-    addr_file: Option<String>,
-}
-
-impl ServeOpts {
-    fn parse(rest: &[&str]) -> Result<Self, String> {
-        let mut opts = ServeOpts {
-            addr: serve::DEFAULT_ADDR.to_string(),
-            jobs: None,
-            max_inflight: 4,
-            addr_file: None,
-        };
-        let mut it = rest.iter();
-        while let Some(&flag) = it.next() {
-            match flag {
-                "--addr" => {
-                    let v = it.next().ok_or_else(|| format!("--addr wants HOST:PORT\n{USAGE}"))?;
-                    opts.addr = (*v).to_string();
-                }
-                "--jobs" => {
-                    let v = it.next().ok_or_else(|| format!("--jobs wants a value\n{USAGE}"))?;
-                    opts.jobs = Some(v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(
-                        || format!("--jobs wants a positive integer, got `{v}`\n{USAGE}"),
-                    )?);
-                }
-                "--max-inflight" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--max-inflight wants a value\n{USAGE}"))?;
-                    opts.max_inflight = v.parse().ok().filter(|&n: &usize| n >= 1).ok_or_else(
-                        || format!("--max-inflight wants a positive integer, got `{v}`\n{USAGE}"),
-                    )?;
-                }
-                "--addr-file" => {
-                    let v = it
-                        .next()
-                        .ok_or_else(|| format!("--addr-file wants a file path\n{USAGE}"))?;
-                    opts.addr_file = Some((*v).to_string());
-                }
-                other => return Err(format!("unknown serve flag `{other}`\n{USAGE}")),
-            }
-        }
-        Ok(opts)
-    }
-}
-
-/// Splits `--addr HOST:PORT` (defaulting to the service's well-known
-/// address) out of a `submit`/`status` argument list, returning the
-/// remaining tokens untouched.
-fn split_addr(rest: &[&str]) -> Result<(String, Vec<String>), String> {
-    let mut addr = serve::DEFAULT_ADDR.to_string();
-    let mut args = Vec::new();
-    let mut it = rest.iter();
-    while let Some(&tok) = it.next() {
-        if tok == "--addr" {
-            let v = it.next().ok_or_else(|| format!("--addr wants HOST:PORT\n{USAGE}"))?;
-            addr = (*v).to_string();
-        } else {
-            args.push(tok.to_string());
-        }
-    }
-    Ok((addr, args))
 }
 
 /// Parsed `capsim verify` options. The defaults give a quick but
@@ -852,59 +763,6 @@ fn run(args: &[&str]) -> Result<String, String> {
             let opts = BenchOpts::parse(rest)?;
             let scale = if opts.quick { ExperimentScale::Smoke } else { scale };
             run_bench(&mut out, scale, &opts)?;
-        }
-        ["serve", rest @ ..] => {
-            let opts = ServeOpts::parse(rest)?;
-            let flags = Flags { jobs: opts.jobs, ..Flags::default() };
-            let exec = exec_policy(&flags)?;
-            // The service compiles submitted campaigns through the ONE
-            // CLI builder, so a submitted campaign and a direct one are
-            // the same plan — and render the same bytes.
-            let compiler: serve::CampaignCompiler = Arc::new(move |args: &[String]| {
-                let refs: Vec<&str> = args.iter().map(String::as_str).collect();
-                let (campaign, _flags) = build_campaign(&refs, scale)?;
-                Ok(serve::CompiledCampaign {
-                    spec: campaign.spec,
-                    journal: campaign.journal,
-                    prelude: campaign.prelude,
-                })
-            });
-            let config = serve::ServeConfig {
-                addr: opts.addr,
-                max_inflight: opts.max_inflight,
-                journal_dir: journal_dir(),
-                addr_file: opts.addr_file.map(PathBuf::from),
-            };
-            let summary = serve::serve(&config, exec, compiler)?;
-            let _ = write!(out, "{}", summary.render());
-        }
-        ["submit", rest @ ..] => {
-            let (addr, campaign) = split_addr(rest)?;
-            if campaign.is_empty() {
-                return Err(format!(
-                    "submit wants a campaign: sweep <kind> | figures | headline | compare-policies <app> | faults <app>\n{USAGE}"
-                ));
-            }
-            let outcome = serve::submit(&addr, &campaign)?;
-            // The tally goes to stderr so stdout stays byte-identical
-            // to running the campaign directly.
-            eprintln!(
-                "submit: request {} done — {} computed, {} deduped, {} cache hit(s), {} journal hit(s)",
-                outcome.id,
-                outcome.stats.computed,
-                outcome.stats.deduped,
-                outcome.stats.cache_hits,
-                outcome.stats.journal_hits
-            );
-            let _ = write!(out, "{}", outcome.report);
-        }
-        ["status", rest @ ..] => {
-            let (addr, extra) = split_addr(rest)?;
-            if let Some(tok) = extra.first() {
-                return Err(format!("status accepts only --addr, got `{tok}`\n{USAGE}"));
-            }
-            let report = serve::status(&addr)?;
-            let _ = write!(out, "{}", report.render());
         }
         _ => return Err(USAGE.to_string()),
     }
@@ -1532,50 +1390,6 @@ mod tests {
         assert!(out.contains("33 properties passed"), "{out}");
         assert!(out.contains("seed 5"), "{out}");
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn serve_flags_parse_and_reject() {
-        let d = ServeOpts::parse(&[]).unwrap();
-        assert_eq!(d.addr, serve::DEFAULT_ADDR);
-        assert_eq!(d.max_inflight, 4);
-        assert!(d.jobs.is_none());
-        assert!(d.addr_file.is_none());
-        let f = ServeOpts::parse(&[
-            "--addr",
-            "127.0.0.1:0",
-            "--jobs",
-            "2",
-            "--max-inflight",
-            "1",
-            "--addr-file",
-            "addr.txt",
-        ])
-        .unwrap();
-        assert_eq!(f.addr, "127.0.0.1:0");
-        assert_eq!(f.jobs, Some(2));
-        assert_eq!(f.max_inflight, 1);
-        assert_eq!(f.addr_file.as_deref(), Some("addr.txt"));
-        assert!(ServeOpts::parse(&["--addr"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--jobs", "0"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--max-inflight", "none"]).unwrap_err().contains("usage:"));
-        assert!(ServeOpts::parse(&["--resume"]).unwrap_err().contains("unknown serve flag"));
-    }
-
-    #[test]
-    fn submit_and_status_validate_arguments() {
-        let (addr, args) = split_addr(&["sweep", "all", "--addr", "127.0.0.1:7777"]).unwrap();
-        assert_eq!(addr, "127.0.0.1:7777");
-        assert_eq!(args, ["sweep", "all"]);
-        let (addr, args) = split_addr(&["status"]).unwrap();
-        assert_eq!(addr, serve::DEFAULT_ADDR);
-        assert_eq!(args, ["status"]);
-        assert!(split_addr(&["--addr"]).unwrap_err().contains("usage:"));
-        assert!(run(&["submit"]).unwrap_err().contains("submit wants a campaign"));
-        assert!(run(&["submit", "--addr", "127.0.0.1:9"])
-            .unwrap_err()
-            .contains("submit wants a campaign"));
-        assert!(run(&["status", "extra"]).unwrap_err().contains("only --addr"));
     }
 
     #[test]

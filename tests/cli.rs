@@ -11,6 +11,11 @@ fn unknown_subcommand_fails_with_usage() {
     assert_usage_failure(&[]);
     assert_usage_failure(&["frobnicate"]);
     assert_usage_failure(&["sweep", "frobnicate"]);
+    // Retired commands (the old campaign service) fail like any other
+    // unknown subcommand.
+    assert_usage_failure(&["serve"]);
+    assert_usage_failure(&["submit", "sweep", "all"]);
+    assert_usage_failure(&["status"]);
 }
 
 #[test]

@@ -9,7 +9,7 @@
 #![allow(dead_code)]
 
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command, Output, Stdio};
+use std::process::{Command, Output};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Mirror of `cap::par::CHAOS_KILL_EXIT`, asserted here so a drifting
@@ -120,17 +120,6 @@ impl Capsim {
     /// Spawns the binary and waits for it.
     pub fn run(&self) -> Output {
         self.command().output().expect("capsim spawns")
-    }
-
-    /// Spawns the binary without waiting (stdout/stderr piped) — for
-    /// long-lived processes like `capsim serve` that the test signals
-    /// or joins later.
-    pub fn spawn(&self) -> Child {
-        self.command()
-            .stdout(Stdio::piped())
-            .stderr(Stdio::piped())
-            .spawn()
-            .expect("capsim spawns")
     }
 }
 
